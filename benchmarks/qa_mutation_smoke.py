@@ -88,11 +88,8 @@ MUTATIONS: Tuple[Mutation, ...] = (
     Mutation(
         name="shard-merge-stitch-ps",
         path="repro/shard/merge.py",
-        before="merged[-1] = (previous[0], run[1], previous[2] + run[2])",
-        after=(
-            "merged[-1] = (previous[0], run[1], "
-            "previous[2] + run[2] - 1)"
-        ),
+        before="self.open_ps[joined] += runs.head_ps[stitch]",
+        after="self.open_ps[joined] += runs.head_ps[stitch] - 1",
     ),
 )
 

@@ -248,8 +248,13 @@ def intersect_arrays(
 
 
 def segmented_interval_stats(
-    ts: np.ndarray, starts: np.ndarray, per: Number, min_ps: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ts: np.ndarray,
+    starts: np.ndarray,
+    per: Number,
+    min_ps: int,
+    *,
+    edges: bool = False,
+) -> Tuple[np.ndarray, ...]:
     """Per-segment ``Erec``/``Rec`` and interesting runs, one pass.
 
     ``ts`` is the concatenation of many point sequences (each strictly
@@ -269,6 +274,16 @@ def segmented_interval_stats(
     segment id and its first/last inclusive offsets into ``ts``, in
     time order within each segment.
 
+    With ``edges=True`` two more per-segment arrays follow,
+    ``(head_last, tail_first)``: the last offset of the segment's
+    *first* run and the first offset of its *last* run, whatever their
+    ``ps`` (the first run starts at the segment's start offset and the
+    last run ends at its end offset; both are ``-1`` for an empty
+    segment).  These are the only runs of a segment that can join a
+    neighbouring segment's runs — the out-of-core stitch
+    (:mod:`repro.shard.merge`) keeps exactly them plus the interesting
+    ones.
+
     Examples
     --------
     Two segments of the paper's Example 5 data:
@@ -278,24 +293,37 @@ def segmented_interval_stats(
     ...     ts, np.array([0, 7]), per=2, min_ps=3)
     >>> erec.tolist(), rec.tolist()
     ([2, 1], [2, 1])
+    >>> *_, head_last, tail_first = segmented_interval_stats(
+    ...     ts, np.array([0, 7]), per=2, min_ps=3, edges=True)
+    >>> ts[head_last].tolist(), ts[tail_first].tolist()
+    ([4, 1], [11, 12])
     """
     check_positive(per, "per")
     check_count(min_ps, "min_ps")
     ts = np.asarray(ts)
     starts = np.asarray(starts, dtype=np.int64)
-    return _segmented_interval_stats(ts, starts, per, min_ps)
+    return _segmented_interval_stats(ts, starts, per, min_ps, edges=edges)
 
 
 def _segmented_interval_stats(
-    ts: np.ndarray, starts: np.ndarray, per: Number, min_ps: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ts: np.ndarray,
+    starts: np.ndarray,
+    per: Number,
+    min_ps: int,
+    *,
+    edges: bool = False,
+) -> Tuple[np.ndarray, ...]:
     """Validation-free core of :func:`segmented_interval_stats`."""
     n = ts.size
     n_seg = starts.size
     if n == 0 or n_seg == 0:
         zeros = np.zeros(n_seg, dtype=np.int64)
         empty = np.zeros(0, dtype=np.int64)
-        return zeros, zeros.copy(), empty, empty.copy(), empty.copy()
+        stats = (zeros, zeros.copy(), empty, empty.copy(), empty.copy())
+        if edges:
+            none = np.full(n_seg, -1, dtype=np.int64)
+            stats += (none, none.copy())
+        return stats
     # A run breaks at every segment boundary and at every gap > per.
     breaks = np.empty(n, dtype=bool)
     breaks[0] = True
@@ -317,7 +345,19 @@ def _segmented_interval_stats(
     good = run_ps >= min_ps
     good_seg = run_seg[good]
     rec = np.bincount(good_seg, minlength=n_seg).astype(np.int64)
-    return erec, rec, good_seg, run_first[good], run_last[good]
+    stats = (erec, rec, good_seg, run_first[good], run_last[good])
+    if edges:
+        # run_seg is non-decreasing: each segment's runs are one slice.
+        segments = np.arange(n_seg)
+        lo = np.searchsorted(run_seg, segments, side="left")
+        hi = np.searchsorted(run_seg, segments, side="right")
+        empty = lo == hi
+        head_last = run_last[np.minimum(lo, run_seg.size - 1)]
+        tail_first = run_first[np.maximum(hi - 1, 0)]
+        head_last[empty] = -1
+        tail_first[empty] = -1
+        stats += (head_last, tail_first)
+    return stats
 
 
 class FastRPEclat:

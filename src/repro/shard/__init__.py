@@ -3,9 +3,9 @@
 The shard pipeline cuts the time axis into bounded-memory shards
 (:mod:`~repro.shard.planner`), mines each shard independently through
 the existing engine stack while collecting cut-neighbourhood candidates
-(:mod:`~repro.shard.candidates`), verifies every candidate per shard
-and stitches the per-shard run encodings into the exact in-memory
-result (:mod:`~repro.shard.merge`).  :mod:`~repro.shard.miner` is the
+(:mod:`~repro.shard.candidates`), verifies every candidate of a shard
+in one batched pass and folds the verified runs, shard by shard, into
+the exact in-memory result (:mod:`~repro.shard.merge`).  :mod:`~repro.shard.miner` is the
 orchestrator; the façade exposes it as
 ``mine_recurring_patterns(..., shards=...)`` /
 ``max_events_in_memory=...`` and the CLI as ``repro-mine shard``.
@@ -16,12 +16,7 @@ from repro.shard.candidates import (
     CutWindows,
     boundary_candidates,
 )
-from repro.shard.merge import (
-    MergeStats,
-    ShardPatternState,
-    ShardResult,
-    merge_shard_results,
-)
+from repro.shard.merge import MergeStats
 from repro.shard.miner import (
     DEFAULT_MAX_TRANSACTIONS,
     ShardRunReport,
@@ -37,9 +32,6 @@ __all__ = [
     "CutWindows",
     "boundary_candidates",
     "MergeStats",
-    "ShardPatternState",
-    "ShardResult",
-    "merge_shard_results",
     "DEFAULT_MAX_TRANSACTIONS",
     "ShardRunReport",
     "mine_sharded_database",

@@ -122,6 +122,10 @@ def boundary_candidates(
     exponential in the *intersection* size, which is small in practice
     (and bounded by the narrowest transaction of the pair), the same
     enumeration scale the QA streaming relations already rely on.
+
+    A cut's intersections expand largest first, and one already in the
+    candidate set is skipped: only the expansion of a superset can have
+    added it, and that expansion emitted all of its subsets too.
     """
     candidates: Set[FrozenSet] = set()
     for window in windows:
@@ -131,8 +135,10 @@ def boundary_candidates(
                 common = left_items & right_items
                 if common:
                     intersections.add(frozenset(common))
-        for common in intersections:
-            members = sorted(common, key=repr)
+        for common in sorted(intersections, key=len, reverse=True):
+            if common in candidates:
+                continue
+            members = list(common)
             for mask in range(1, 1 << len(members)):
                 candidates.add(
                     frozenset(

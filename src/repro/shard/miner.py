@@ -15,10 +15,17 @@ than one shard (plus output-sized candidate state) in memory:
    cut-spanning candidates are enumerated — together the two candidate
    sources form a proven superset of the true result (see
    ``docs/performance.md``).
-3. **Verify** — a second pass over the shards computes each candidate's
-   exact per-shard support and run-length encoding.
-4. **Merge** — :func:`~repro.shard.merge.merge_shard_results` stitches
-   runs across cuts and applies the real thresholds.
+3. **Verify** — a second pass over the shards verifies every candidate
+   of a shard in one batched NumPy pass: candidates grouped by length
+   AND the shard's packed item-occurrence rows in batches bounded by
+   :data:`VERIFY_CELL_BUDGET`, and one segmented diff/RLE splits the
+   runs.  Per candidate it keeps only what the stitch can use: the
+   support, the first and last run (the only runs that can join a run
+   across a cut) and the interior runs with ``ps >= min_ps``.
+4. **Merge** — each verified shard is folded straight into a
+   :class:`~repro.shard.merge.StitchAccumulator`, which stitches runs
+   across cuts as the shards stream past; the ``shard-merge`` step
+   closes the open runs and applies the real thresholds.
 
 Entry points: :func:`mine_sharded_database` (shard an in-memory
 database — the façade's ``shards=`` / ``max_events_in_memory=`` path
@@ -30,6 +37,7 @@ file through :func:`~repro.timeseries.io.iter_database_chunks`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import (
     Callable,
     Dict,
@@ -43,8 +51,10 @@ from typing import (
     Union,
 )
 
-from repro._validation import Number, resolve_count_threshold
-from repro.core.intervals import _iter_runs
+import numpy as np
+
+from repro._validation import Number, check_count, resolve_count_threshold
+from repro.core.accel import _segmented_interval_stats, as_timestamp_array
 from repro.core.model import MiningParameters, RecurringPatternSet
 from repro.exceptions import ParameterError
 from repro.obs.counters import MiningStats
@@ -53,12 +63,7 @@ from repro.shard.candidates import (
     BoundaryWindowCollector,
     boundary_candidates,
 )
-from repro.shard.merge import (
-    MergeStats,
-    ShardPatternState,
-    ShardResult,
-    merge_shard_results,
-)
+from repro.shard.merge import MergeStats, ShardRuns, StitchAccumulator
 from repro.shard.planner import ShardPlan, ShardPlanner, plan_with_cuts
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.io import (
@@ -255,6 +260,7 @@ def mine_sharded_file(
             "mine_sharded_file needs a re-readable path, not an open "
             "handle — the pipeline streams the input more than once"
         )
+    check_count(max_transactions, "max_transactions")
     total = 0
     previous_ts = None
     for ts, _ in stream_transaction_rows(source, use_mmap=use_mmap):
@@ -350,21 +356,19 @@ def _mine_sharded(
         spanning = boundary_candidates(collector.finish())
     candidates |= spanning
 
-    shard_results: List[ShardResult] = []
+    candidate_list = list(candidates)
+    batches = _CandidateBatches(candidate_list)
+    accumulator = StitchAccumulator(
+        candidate_list, per=per, min_ps=min_ps_abs, min_rec=min_rec
+    )
     if monitor is not None:
         monitor.phase_started("shard-verify", units=len(sizes))
     try:
         with span("shard-verify"):
             for index, shard_db in enumerate(provider()):
-                states: Dict[FrozenSet, ShardPatternState] = {}
-                for items in candidates:
-                    timestamps = shard_db.timestamps_of(items)
-                    if timestamps:
-                        states[items] = ShardPatternState(
-                            support=len(timestamps),
-                            runs=tuple(_iter_runs(timestamps, per)),
-                        )
-                shard_results.append(ShardResult(index, states))
+                accumulator.fold(
+                    _verify_shard(shard_db, batches, per, min_ps_abs)
+                )
                 if monitor is not None:
                     monitor.unit_done(index)
     finally:
@@ -372,9 +376,7 @@ def _mine_sharded(
             monitor.phase_finished()
 
     with span("shard-merge"):
-        result, merge_stats = merge_shard_results(
-            shard_results, per=per, min_ps=min_ps_abs, min_rec=min_rec
-        )
+        result, merge_stats = accumulator.finish()
 
     # The per-shard engine counters summed above describe the relaxed
     # candidate mines; re-point the headline fields at the merged run.
@@ -404,3 +406,162 @@ def _mine_sharded(
             merge_stats.stitched_runs
         )
     return result, stats, faults, report
+
+
+# ----------------------------------------------------------------------
+# Batched verification
+# ----------------------------------------------------------------------
+#: Most candidate × transaction cells one verify batch ANDs at once,
+#: and most occurrences one segmented RLE call splits into runs.  It
+#: bounds the transient memory of verification whatever the candidate
+#: count and shard size.
+VERIFY_CELL_BUDGET = 1 << 18
+
+
+class _CandidateBatches:
+    """The candidate list as item-id matrices, one per pattern length.
+
+    ``groups`` holds ``(positions, item_ids)`` pairs: the candidates of
+    one length ``k`` as indices into the candidate list and as an
+    ``(m, k)`` matrix of ids from ``item_ids``.
+    """
+
+    def __init__(self, candidates: Sequence[FrozenSet]):
+        self.item_ids: Dict = {}
+        by_length: Dict[int, Tuple[List[int], List[List[int]]]] = {}
+        assign = self.item_ids.setdefault
+        for position, items in enumerate(candidates):
+            row = [assign(item, len(self.item_ids)) for item in items]
+            positions, rows = by_length.setdefault(len(row), ([], []))
+            positions.append(position)
+            rows.append(row)
+        self.groups = [
+            (
+                np.array(positions, dtype=np.int64),
+                np.array(rows, dtype=np.int64),
+            )
+            for _, (positions, rows) in sorted(by_length.items())
+        ]
+
+
+def _verify_shard(
+    shard_db: TransactionalDatabase,
+    batches: _CandidateBatches,
+    per: Number,
+    min_ps: int,
+) -> ShardRuns:
+    """Every candidate's support and stitchable/interesting runs in a shard.
+
+    One pass over the transactions builds a packed bit row per
+    candidate item present in the shard.  Batches of same-length
+    candidates AND their item rows (at most :data:`VERIFY_CELL_BUDGET`
+    cells per batch) and unpack the set bits into occurrence columns;
+    one segmented RLE (:func:`~repro.core.accel._segmented_interval_stats`)
+    per budget's worth of occurrences then splits them into runs.
+    """
+    n = len(shard_db)
+    ts = as_timestamp_array([transaction.ts for transaction in shard_db])
+    itemsets = [itemset for _, itemset in shard_db]
+    widths = [len(itemset) for itemset in itemsets]
+    ids = np.fromiter(
+        map(
+            batches.item_ids.get,
+            chain.from_iterable(itemsets),
+            repeat(-1),
+        ),
+        dtype=np.int64,
+        count=sum(widths),
+    )
+    tx = np.repeat(np.arange(n, dtype=np.int64), widths)
+    found = ids >= 0
+    ids, tx = ids[found], tx[found]
+    universe = len(batches.item_ids)
+    present = np.flatnonzero(np.bincount(ids, minlength=universe))
+    local_of = np.full(universe, -1, dtype=np.int64)
+    local_of[present] = np.arange(present.size)
+    width = (n + 7) >> 3
+    packed = np.zeros(present.size * width, dtype=np.uint8)
+    np.bitwise_or.at(
+        packed,
+        local_of[ids] * width + (tx >> 3),
+        (128 >> (tx & 7)).astype(np.uint8),
+    )
+    packed = packed.reshape(present.size, width)
+
+    batch = max(1, VERIFY_CELL_BUDGET // max(n, 1))
+    parts: List[ShardRuns] = []
+    pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    pending_size = 0
+    for positions, item_rows in batches.groups:
+        local = local_of[item_rows]
+        complete = (local >= 0).all(axis=1)
+        positions, local = positions[complete], local[complete]
+        for lo in range(0, positions.size, batch):
+            rows = local[lo:lo + batch]
+            bits = packed[rows[:, 0]]
+            for column in range(1, rows.shape[1]):
+                bits &= packed[rows[:, column]]
+            # Most candidates are absent from most shards, and the rest
+            # are sparse: unpack only the non-zero bytes of hit rows.
+            hit = bits.any(axis=1)
+            bits = bits[hit]
+            row, byte = np.nonzero(bits)
+            offset, bit = np.nonzero(
+                np.unpackbits(bits[row, byte][:, None], axis=1)
+            )
+            if pending_size + offset.size > VERIFY_CELL_BUDGET:
+                parts.append(_summarise(pending, ts, per, min_ps))
+                pending, pending_size = [], 0
+            pending.append(
+                (
+                    positions[lo:lo + batch][hit],
+                    np.bincount(row[offset], minlength=bits.shape[0]),
+                    byte[offset] * 8 + bit,
+                )
+            )
+            pending_size += offset.size
+    parts.append(_summarise(pending, ts, per, min_ps))
+    return ShardRuns(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _summarise(
+    pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ts: np.ndarray,
+    per: Number,
+    min_ps: int,
+) -> ShardRuns:
+    """Run summary of verified batches, one segmented RLE for all.
+
+    Each pending batch holds the candidates it found, their supports
+    and their occurrence columns laid end to end in candidate order.
+    """
+    if pending:
+        candidate, support, column = (
+            np.concatenate(part) for part in zip(*pending)
+        )
+    else:
+        candidate = support = column = np.zeros(0, dtype=np.int64)
+    seq = ts[column]
+    first = np.zeros(candidate.size, dtype=np.int64)
+    np.cumsum(support[:-1], out=first[1:])
+    last = first + support - 1
+    _, _, run_seg, run_first, run_last, head_last, tail_first = (
+        _segmented_interval_stats(seq, first, per, min_ps, edges=True)
+    )
+    interior = (run_first != first[run_seg]) & (run_last != last[run_seg])
+    run_first, run_last = run_first[interior], run_last[interior]
+    return ShardRuns(
+        candidate=candidate,
+        support=support,
+        head_start=seq[first],
+        head_end=seq[head_last],
+        head_ps=head_last - first + 1,
+        tail_start=seq[tail_first],
+        tail_end=seq[last],
+        tail_ps=last - tail_first + 1,
+        multi=tail_first != first,
+        interior_candidate=candidate[run_seg[interior]],
+        interior_start=seq[run_first],
+        interior_end=seq[run_last],
+        interior_ps=run_last - run_first + 1,
+    )

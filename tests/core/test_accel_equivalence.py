@@ -23,6 +23,7 @@ from repro.core.accel import (
     segmented_interval_stats,
 )
 from repro.core.intervals import (
+    _iter_runs,
     estimated_recurrence,
     interesting_intervals,
     recurrence,
@@ -136,6 +137,24 @@ class TestSegmentedIntervalStats:
             for run in interesting_intervals(s, per, min_ps)
         ]
         assert runs == expected
+        # edges=True: each segment's first and last run, whatever its ps.
+        *same, head_last, tail_first = segmented_interval_stats(
+            ts, starts, per, min_ps, edges=True
+        )
+        assert [a.tolist() for a in same] == [
+            a.tolist() for a in (erec, rec, seg, first, last)
+        ]
+        all_runs = [list(_iter_runs(s, per)) for s in sequences]
+        assert ts[head_last].tolist() == [r[0][1] for r in all_runs]
+        assert ts[tail_first].tolist() == [r[-1][0] for r in all_runs]
+
+    def test_edges_of_empty_segments(self):
+        *_, head_last, tail_first = segmented_interval_stats(
+            np.array([1, 2, 10]), np.array([0, 2, 2]), per=1, min_ps=2,
+            edges=True,
+        )
+        assert head_last.tolist() == [1, -1, 2]
+        assert tail_first.tolist() == [0, -1, 2]
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,17 @@ def test_file_path_rejects_open_handles(tmp_path, running_example):
             mine_sharded_file(handle, 2, 3, 2, max_transactions=4)
 
 
+@pytest.mark.parametrize("max_transactions", (0, -1, True, 2.5))
+def test_file_path_rejects_bad_max_transactions(tmp_path, max_transactions):
+    # The file does not exist: a ParameterError (not an OSError) shows
+    # the bound is checked before the counting pass opens the input.
+    with pytest.raises(ParameterError, match="max_transactions"):
+        mine_sharded_file(
+            tmp_path / "missing.tsv", 2, 3, 2,
+            max_transactions=max_transactions,
+        )
+
+
 @pytest.mark.parametrize("use_mmap", (False, True))
 def test_file_mining_matches_database_mining(
     tmp_path, planted_workload, use_mmap
