@@ -138,9 +138,12 @@ def sweep_pattern_counts(
     theorem, so the counts are exactly what per-cell mining reports).
     Each cell's engine counters are kept in ``result.stats`` so the
     ablation benches and ``repro-mine bench --trace-out`` can report
-    pruning effectiveness without re-mining.  With ``jobs > 1`` every
-    mined cell runs through the parallel layer under chunk supervision;
-    ``resilience`` carries the per-chunk timeout/retry/fallback knobs.
+    pruning effectiveness without re-mining.  With ``jobs > 1`` a grid
+    with two or more ``(per, minPS)`` columns mines its columns' cells
+    in parallel, one whole cell per worker of one supervised pool, and
+    ``resilience`` carries the per-cell timeout/retry/fallback knobs; a
+    one-column grid gives ``jobs`` to its one mined cell instead
+    (per-chunk supervision).
     ``observability`` is forwarded to :func:`repro.sweep.run_sweep`
     verbatim — live progress/metrics on a long grid included.
     """
@@ -182,8 +185,12 @@ def sweep_runtime(
     is genuinely mined (sharing only the threshold-independent
     transform/scan work), so its wall-clock is comparable across the
     grid instead of collapsing to a filter for derived cells.
-    ``jobs > 1`` times the parallel layer instead of the serial engine
-    (the wall-clock then includes pool start-up per cell).
+    With ``jobs > 1`` and two or more cells, the cells are mined
+    concurrently, each serially in a worker of the sweep's one pool:
+    a cell's seconds are then the serial engine's, measured in the
+    worker (pool start-up is paid once per sweep and falls outside
+    every cell), and cells sharing the CPUs can slow each other.  A
+    single-cell grid times the in-cell parallel layer instead.
     ``observability`` is forwarded to :func:`repro.sweep.run_sweep`
     verbatim; note a progress reporter writes to stderr, never into
     the timed mining spans.

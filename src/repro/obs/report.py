@@ -269,6 +269,7 @@ _SWEEP_COUNTERS = (
     "cells_mined",
     "cells_derived",
     "scans_shared",
+    "cells_fanned_out",
 )
 
 

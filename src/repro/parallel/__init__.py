@@ -34,6 +34,7 @@ from repro.parallel.resilience import (
     FALLBACK_MODES,
     FaultEvent,
     RetryPolicy,
+    start_context,
     supervise,
 )
 
@@ -50,6 +51,7 @@ __all__ = [
     "FaultSpec",
     "FaultEvent",
     "RetryPolicy",
+    "start_context",
     "supervise",
     "ChunkFailedError",
 ]

@@ -28,7 +28,6 @@ section for the retry/fallback semantics.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple, Union
@@ -53,6 +52,7 @@ from repro.parallel.resilience import (
     FALLBACK_MODES,
     FaultEvent,
     RetryPolicy,
+    start_context,
     supervise,
 )
 from repro.timeseries.database import TransactionalDatabase
@@ -89,12 +89,10 @@ class ParallelMiner:
         finer-grained load balancing but more IPC; the default keeps
         the straggler tail short without measurable overhead.
     mp_context:
-        A :mod:`multiprocessing` context or start-method name.  The
-        default prefers ``fork`` (cheap, inherits the imported
-        library) and falls back to ``spawn`` where fork is unavailable
-        (Windows, macOS defaults); both work because worker state
-        travels through the pool initializer, never through globals
-        that only exist in the parent.
+        A :mod:`multiprocessing` context or start-method name; the
+        default (``None``) is
+        :func:`~repro.parallel.resilience.start_context`'s choice,
+        ``fork`` where available and ``spawn`` elsewhere.
     pruning, max_length, item_order:
         Forwarded to the underlying engine (``pruning`` to RP-eclat,
         ``item_order`` to RP-growth's tree build).
@@ -390,7 +388,7 @@ class ParallelMiner:
         try:
             results, events, failed = supervise(
                 workers=workers,
-                mp_context=self._context(),
+                mp_context=start_context(self.mp_context),
                 initializer=initializer,
                 initargs=initargs,
                 chunk_fn=chunk_fn,
@@ -451,7 +449,7 @@ class ParallelMiner:
         here surfaces as a bare ``BrokenProcessPool``."""
         with ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=self._context(),
+            mp_context=start_context(self.mp_context),
             initializer=initializer,
             initargs=initargs,
         ) as pool:
@@ -467,15 +465,6 @@ class ParallelMiner:
                     mine_span.children.extend(
                         Span.from_dict(record) for record in chunk_spans
                     )
-
-    def _context(self):
-        context = self.mp_context
-        if context is None:
-            methods = multiprocessing.get_all_start_methods()
-            context = "fork" if "fork" in methods else "spawn"
-        if isinstance(context, str):
-            return multiprocessing.get_context(context)
-        return context
 
     def _serial_engine(self):
         # The registry factory accepts the union of engine options and

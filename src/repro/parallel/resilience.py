@@ -47,6 +47,7 @@ asserts this for every fault kind and engine.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import shutil
 import tempfile
@@ -65,6 +66,7 @@ __all__ = [
     "FALLBACK_MODES",
     "RetryPolicy",
     "FaultEvent",
+    "start_context",
     "supervise",
 ]
 
@@ -178,6 +180,27 @@ class _Flight:
     chunk: int
     execution: int
     deadline: Optional[float]
+
+
+def start_context(method=None):
+    """The :mod:`multiprocessing` context a supervised pool starts with.
+
+    ``method`` is a start-method name, a context object (returned as
+    is) or ``None``, which prefers ``fork`` (cheap, inherits the
+    imported library) and falls back to ``spawn`` where fork is
+    unavailable (Windows, macOS defaults).  Both work because worker
+    state travels through the pool initializer, never through globals
+    that only exist in the parent.
+
+    >>> start_context("spawn").get_start_method()
+    'spawn'
+    """
+    if method is None:
+        methods = multiprocessing.get_all_start_methods()
+        method = "fork" if "fork" in methods else "spawn"
+    if isinstance(method, str):
+        return multiprocessing.get_context(method)
+    return method
 
 
 def _valid_result(value: object) -> bool:

@@ -14,8 +14,10 @@ with three reuse layers instead:
    the loosest-``minRec`` cell (the derivation theorem; see
    :mod:`repro.sweep.engine`), so a whole ``minRec`` column costs one
    mine plus filters;
-3. **cell scheduling** — cells that must be mined run through the
-   existing :class:`~repro.parallel.ParallelMiner`/resilience layer.
+3. **cell scheduling** — with ``jobs > 1``, two or more mined cells
+   are mined whole and in parallel in one supervised pool per sweep
+   (:mod:`repro.parallel.resilience`); a single mined cell uses the
+   in-cell :class:`~repro.parallel.ParallelMiner` instead.
 
 Entry points: build a :class:`~repro.sweep.plan.SweepPlan`, call
 :func:`~repro.sweep.engine.run_sweep`, read the

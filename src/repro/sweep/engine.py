@@ -28,10 +28,19 @@ threshold-independent and cached on the immutable database) are
 computed once and shared by every mined cell.
 
 **Cell scheduling (reuse layer 3).**  Cells that must actually be
-mined run through the same engine dispatch as the façade — including
-the :class:`~repro.parallel.ParallelMiner` resilience layer when
-``plan.jobs > 1`` (per-cell timeout/retry/fallback via
-``plan.resilience``).
+mined run through the same engine dispatch as the façade
+(:func:`~repro.core.miner.run_request`).  Mined cells are independent,
+so with ``plan.jobs > 1`` and two or more of them the sweep mines the
+*cells* in parallel: one supervised pool
+(:func:`~repro.parallel.resilience.supervise`) per sweep, the database
+and plan shipped once through its initializer, each work unit one
+whole cell mined serially in a worker.  That keeps every engine's
+serial kernel intact instead of splitting each cell into conditional
+bases or lattice roots, and ``plan.resilience`` applies per cell (a
+:class:`~repro.parallel.faults.FaultPlan` chunk id is the cell's index
+in :meth:`~repro.sweep.plan.SweepPlan.mined_cells`).  A sweep with a
+single mined cell hands ``jobs`` to that cell's
+:class:`~repro.parallel.ParallelMiner` instead.
 
 The result is **byte-identical** to mining every cell independently
 (asserted across the full engine × jobs matrix by
@@ -48,6 +57,8 @@ from repro._validation import Number
 from repro.core.miner import _as_database, run_request
 from repro.core.model import RecurringPatternSet
 from repro.core.options import ObservabilityOptions
+from repro.core.request import MiningRequest
+from repro.exceptions import ChunkFailedError
 from repro.obs.counters import MiningStats
 from repro.obs.progress import monitor_from_options
 from repro.obs.report import (
@@ -56,10 +67,15 @@ from repro.obs.report import (
     validate_sweep_record,
 )
 from repro.obs.spans import Span, SpanCollector, span
+from repro.parallel import faults as _faults
+from repro.parallel.resilience import RetryPolicy, start_context, supervise
 from repro.sweep.plan import GridKey, SweepPlan
 from repro.timeseries.database import TransactionalDatabase
 
 __all__ = ["SweepResult", "run_sweep"]
+
+#: One mined cell's best execution: patterns, counters, ``cell`` span.
+_Mined = Tuple[RecurringPatternSet, MiningStats, Span]
 
 
 @dataclass
@@ -69,7 +85,9 @@ class SweepResult:
     ``patterns[key]`` is byte-identical to what an independent
     ``mine_recurring_patterns`` call for that cell returns; the reuse
     counters (``cells_mined`` / ``cells_derived`` / ``scans_shared``)
-    say how the sweep earned its speedup.  ``seconds_by_cell`` is the
+    say how the sweep earned its speedup, and ``cells_fanned_out``
+    how many mined cells ran as whole cells in the sweep's worker pool
+    (0 when the sweep mined in-process).  ``seconds_by_cell`` is the
     cost actually paid per cell — a mine for mined cells (best of
     ``plan.repeats``), a recurrence filter for derived ones.
     """
@@ -91,6 +109,7 @@ class SweepResult:
     cells_mined: int = 0
     cells_derived: int = 0
     scans_shared: int = 0
+    cells_fanned_out: int = 0
     transform_seconds: float = 0.0
     seconds: float = 0.0
     memory_peak_bytes: Optional[int] = None
@@ -161,6 +180,7 @@ class SweepResult:
                 "cells_mined": self.cells_mined,
                 "cells_derived": self.cells_derived,
                 "scans_shared": self.scans_shared,
+                "cells_fanned_out": self.cells_fanned_out,
             },
             "cells": cells,
         }
@@ -208,8 +228,9 @@ def run_sweep(
         implied and the return type never changes.  The live fields
         (``progress``/``metrics``/``monitor``, see
         :mod:`repro.obs.progress`) report per-cell completion and an
-        ETA while the grid runs; each mined cell's chunk progress
-        stacks inside the cell phase.
+        ETA while the grid runs; each mined cell's chunk progress (or,
+        when the cells fan out, the pool's cell progress) stacks
+        inside the cell phase.
 
     Returns
     -------
@@ -245,11 +266,12 @@ def run_sweep(
         database = _as_database(data)
         database.item_timestamps()
     result.transform_seconds = transform_collector.roots[0].seconds
-    _fold_memory(result, transform_collector)
+    _fold_memory(result, transform_collector.memory_peak_bytes)
 
     # The cell-level phase wraps every per-cell mine (whose own
-    # ParallelMiner chunk phase stacks on top of it); unit_done on a
-    # derived cell is as real a completion as on a mined one.
+    # ParallelMiner chunk phase, or the fan-out's cell phase, stacks
+    # on top of it); unit_done on a derived cell is as real a
+    # completion as on a mined one.
     try:
         _run_cells(result, database, plan, obs, monitor, started)
     finally:
@@ -284,29 +306,29 @@ def _run_cells(
                 monitor.unit_done(cell_index)
             cell_index += 1
 
-        if plan.derive_min_rec:
-            base_rec = min(plan.min_recs)
-            for (per, min_ps), min_recs in plan.columns().items():
-                base_key = (per, min_ps, base_rec)
-                _mine_cell(
-                    result, database, base_key, obs.track_memory,
-                    monitor=monitor,
-                )
-                _cell_done()
-                for min_rec in min_recs:
-                    if min_rec == base_rec:
-                        continue
-                    _derive_cell(
-                        result, base_key, (per, min_ps, min_rec)
-                    )
-                    _cell_done()
-        else:
-            for key in plan.cells():
+        mined_keys = plan.mined_cells()
+        fanned: Dict[GridKey, _Mined] = {}
+        if plan.jobs > 1 and len(mined_keys) > 1:
+            fanned = _fan_out_cells(
+                result, database, mined_keys, obs.track_memory, monitor
+            )
+
+        for key in mined_keys:
+            if key in fanned:
+                _store_mined(result, key, *fanned[key])
+            else:
                 _mine_cell(
                     result, database, key, obs.track_memory,
                     monitor=monitor,
                 )
-                _cell_done()
+            _cell_done()
+            if not plan.derive_min_rec:
+                continue
+            per, min_ps, base_rec = key
+            for min_rec in plan.min_recs:
+                if min_rec != base_rec:
+                    _derive_cell(result, key, (per, min_ps, min_rec))
+                    _cell_done()
     finally:
         if monitor is not None:
             monitor.phase_finished()
@@ -324,6 +346,7 @@ def _run_cells(
                 ("cells_mined", result.cells_mined),
                 ("cells_derived", result.cells_derived),
                 ("scans_shared", result.scans_shared),
+                ("cells_fanned_out", result.cells_fanned_out),
             ):
                 monitor.registry.counter(
                     f"repro_sweep_{name}_total",
@@ -345,33 +368,169 @@ def _mine_cell(
     track_memory: bool,
     monitor=None,
 ) -> None:
-    """Mine one cell (reuse layer 3), keeping the fastest execution."""
+    """Mine one cell in-process (reuse layer 3)."""
     plan = result.plan
-    request = plan.cell_request(key)
-    best_root: Optional[Span] = None
-    best: Optional[Tuple[RecurringPatternSet, MiningStats]] = None
-    for _ in range(plan.repeats):
+    found, stats, root, peak = _mine_repeats(
+        database, plan.cell_request(key), plan.repeats, track_memory,
+        monitor=monitor,
+    )
+    _fold_memory(result, peak)
+    _store_mined(result, key, found, stats, root)
+
+
+def _mine_repeats(
+    database: TransactionalDatabase,
+    request: MiningRequest,
+    repeats: int,
+    track_memory: bool,
+    monitor=None,
+) -> Tuple[RecurringPatternSet, MiningStats, Span, Optional[int]]:
+    """Mine ``request`` ``repeats`` times and keep the fastest execution.
+
+    Returns its patterns, counters and ``cell`` span, plus the memory
+    peak over every execution (``None`` unless ``track_memory``).  The
+    patterns and counters are identical across repeats.
+    """
+    best: Optional[_Mined] = None
+    peak: Optional[int] = None
+    for _ in range(repeats):
+        # Between executions is the only beat point a whole cell has.
+        _faults.maybe_beat()
         collector = SpanCollector(track_memory=track_memory)
         with collector, span("cell"):
-            found, stats, _faults = run_request(
+            found, stats, _events = run_request(
                 database, request, monitor=monitor,
             )
         root = collector.roots[0]
-        _fold_memory(result, collector)
-        if best_root is None or root.seconds < best_root.seconds:
-            best_root = root
-            best = (found, stats)
-    assert best is not None and best_root is not None
-    found, stats = best
+        if collector.memory_peak_bytes is not None:
+            peak = max(peak or 0, collector.memory_peak_bytes)
+        if best is None or root.seconds < best[2].seconds:
+            best = (found, stats, root)
+    assert best is not None
+    return (*best, peak)
+
+
+def _store_mined(
+    result: SweepResult,
+    key: GridKey,
+    found: RecurringPatternSet,
+    stats: MiningStats,
+    root: Span,
+) -> None:
+    """Fill one mined cell from its best execution's ``cell`` span."""
     result.patterns[key] = found
     result.stats[key] = stats
-    result.seconds_by_cell[key] = best_root.seconds
+    result.seconds_by_cell[key] = root.seconds
     result.phases[key] = {
-        child.name: child.seconds for child in best_root.children
+        child.name: child.seconds for child in root.children
     }
-    result.span_trees[key] = tuple(best_root.children)
+    result.span_trees[key] = tuple(root.children)
     result.derived_from[key] = None
     result.cells_mined += 1
+
+
+# ----------------------------------------------------------------------
+# Cell fan-out: whole cells as the work units of one supervised pool
+# ----------------------------------------------------------------------
+#: Worker-process state installed by the pool initializer (a module
+#: global is fork- and spawn-safe because this module is importable by
+#: name, like repro.parallel.worker).
+_CELL_STATE: Optional[Tuple[TransactionalDatabase, SweepPlan, bool]] = None
+
+
+def _init_cell_worker(
+    database: TransactionalDatabase, plan: SweepPlan, track_memory: bool
+) -> None:
+    global _CELL_STATE
+    _CELL_STATE = (database, plan, track_memory)
+
+
+def _mine_cell_chunk(
+    chunk_id: int, key: GridKey
+) -> Tuple[list, MiningStats, List[dict]]:
+    """Mine one whole cell serially: the fan-out's chunk function.
+
+    Returns the ``(patterns, stats, spans)`` triple the supervisor
+    validates, ``spans`` holding the fastest execution's ``cell`` span.
+    """
+    assert _CELL_STATE is not None, "worker initializer did not run"
+    database, plan, track_memory = _CELL_STATE
+    found, stats, root, _peak = _mine_repeats(
+        database, replace(plan.cell_request(key), jobs=1), plan.repeats,
+        track_memory,
+    )
+    return list(found), stats, [root.as_dict()]
+
+
+def _cell_label(key: GridKey) -> str:
+    per, min_ps, min_rec = key
+    return f"cell(per={per}, min_ps={min_ps}, min_rec={min_rec})"
+
+
+def _fan_out_cells(
+    result: SweepResult,
+    database: TransactionalDatabase,
+    keys: List[GridKey],
+    track_memory: bool,
+    monitor=None,
+) -> Dict[GridKey, _Mined]:
+    """Mine ``keys`` in one supervised pool, one whole cell per unit.
+
+    Chunk ``i`` is ``keys[i]``; ``plan.resilience`` applies per cell
+    and its retries and serial fallbacks are counted into that cell's
+    ``chunks_retried`` / ``chunks_fallback``.  Raises
+    :class:`~repro.exceptions.ChunkFailedError` naming the failed
+    cells under ``fallback="raise"`` (``partial`` is ``None``: a
+    sweep has no single pattern set to return).
+    """
+    global _CELL_STATE
+    plan = result.plan
+    options = plan.resilience
+    if monitor is not None:
+        monitor.phase_started(f"cells[{plan.engine}]", units=len(keys))
+    try:
+        triples, events, failed = supervise(
+            workers=min(plan.jobs, len(keys)),
+            mp_context=start_context(),
+            initializer=_init_cell_worker,
+            initargs=(database, plan, track_memory),
+            chunk_fn=_mine_cell_chunk,
+            payloads=keys,
+            policy=RetryPolicy(
+                timeout=options.timeout, max_retries=options.max_retries
+            ),
+            fallback=options.fallback,
+            fault_plan=options.fault_plan,
+            monitor=monitor,
+        )
+    finally:
+        # A serial fallback ran the initializer in this process.
+        _CELL_STATE = None
+        if monitor is not None:
+            monitor.phase_finished()
+    if failed:
+        cells = [_cell_label(keys[index]) for index in sorted(failed)]
+        raise ChunkFailedError(
+            f"{len(failed)} of {len(keys)} sweep cell(s) failed after "
+            f"{options.max_retries} retries: {', '.join(cells)}",
+            failed_prefixes=cells,
+            events=events,
+        )
+    mined = {}
+    for index, (key, triple) in enumerate(zip(keys, triples)):
+        patterns, stats, spans = triple
+        for event in events:
+            if event.chunk != index:
+                continue
+            if event.action == "retry":
+                stats.chunks_retried += 1
+            elif event.action == "fallback-serial":
+                stats.chunks_fallback += 1
+        root = Span.from_dict(spans[0])
+        _fold_memory(result, root.memory_peak_bytes)
+        mined[key] = (RecurringPatternSet(patterns), stats, root)
+    result.cells_fanned_out = len(keys)
+    return mined
 
 
 def _derive_cell(
@@ -397,8 +556,6 @@ def _derive_cell(
     result.cells_derived += 1
 
 
-def _fold_memory(result: SweepResult, collector: SpanCollector) -> None:
-    if collector.memory_peak_bytes is not None:
-        result.memory_peak_bytes = max(
-            result.memory_peak_bytes or 0, collector.memory_peak_bytes
-        )
+def _fold_memory(result: SweepResult, peak: Optional[int]) -> None:
+    if peak is not None:
+        result.memory_peak_bytes = max(result.memory_peak_bytes or 0, peak)

@@ -6,14 +6,14 @@ reuse switches).  It validates eagerly — every cell's thresholds are
 checked with the shared :mod:`repro._validation` messages before any
 mining starts, exactly like the façade — and knows how the sweep
 engine will iterate it: :meth:`cells` in deterministic grid order and
-:meth:`columns` grouped by ``(per, min_ps)`` for the ``min_rec``
-derivation layer.
+:meth:`mined_cells`, the cells that are actually mined (the rest are
+derived by the ``min_rec`` derivation layer).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro._validation import Number
 from repro.core.engines import get_engine
@@ -41,9 +41,14 @@ class SweepPlan:
         Engine-registry name mined for every cell (default
         ``"rp-growth"``).
     jobs:
-        Worker processes per mined cell, exactly as on the façade
-        (``None``/1 = serial; >1 requires the engine's
-        ``supports_jobs`` capability).
+        Worker processes (``None``/1 = serial; >1 requires the
+        engine's ``supports_jobs`` capability).  When the sweep mines
+        two or more cells, the cells themselves are fanned out to one
+        supervised pool of ``min(jobs, mined cells)`` workers, each
+        cell mined serially; a sweep that mines a single cell gives it
+        the façade's in-cell :class:`~repro.parallel.ParallelMiner`
+        instead.  Either way every cell is byte-identical to
+        ``jobs=1``.
     derive_min_rec:
         Apply the min_rec-derivation theorem (reuse layer 2): mine
         each ``(per, min_ps)`` column only at its loosest ``min_rec``
@@ -55,16 +60,18 @@ class SweepPlan:
         execution's timing (the result is identical across repeats).
         Only runtime sweeps care; default 1.
     resilience:
-        The :class:`~repro.core.options.ResilienceOptions` forwarded
-        to every parallel cell mine (per-cell timeout/retry/fallback).
+        The :class:`~repro.core.options.ResilienceOptions` of the
+        parallel path: per cell (timeout/retry/fallback, fault-plan
+        chunk id = index in :meth:`mined_cells`) when cells fan out,
+        per chunk inside the one mined cell otherwise.
 
     Examples
     --------
     >>> plan = SweepPlan(pers=(2,), min_ps_values=(3,), min_recs=(1, 2))
     >>> plan.cells()
     [(2, 3, 1), (2, 3, 2)]
-    >>> plan.columns()
-    {(2, 3): (1, 2)}
+    >>> plan.mined_cells()
+    [(2, 3, 1)]
     """
 
     pers: Tuple[Number, ...]
@@ -143,18 +150,28 @@ class SweepPlan:
             for min_rec in self.min_recs
         ]
 
-    def columns(self) -> Dict[Tuple[Number, Union[int, float]], Tuple[int, ...]]:
-        """The grid grouped for derivation: ``(per, min_ps)`` → min_recs.
+    def mined_cells(self) -> List[GridKey]:
+        """The cells the sweep engine mines, in plan order.
 
-        Within a column the thresholds that shape the periodic
-        intervals are fixed, so all of its cells can be served by one
-        mine at the loosest (smallest) ``min_rec``.
+        With ``derive_min_rec`` that is each ``(per, min_ps)`` column's
+        loosest-``min_rec`` cell: within a column the thresholds that
+        shape the periodic intervals are fixed, so that one mine serves
+        every cell of the column.  Without it, every cell.
+
+        Examples
+        --------
+        >>> SweepPlan(pers=(1, 2), min_ps_values=(3,),
+        ...           min_recs=(2, 1)).mined_cells()
+        [(1, 3, 1), (2, 3, 1)]
         """
-        return {
-            (per, min_ps): self.min_recs
+        if not self.derive_min_rec:
+            return self.cells()
+        base_rec = min(self.min_recs)
+        return [
+            (per, min_ps, base_rec)
             for per in self.pers
             for min_ps in self.min_ps_values
-        }
+        ]
 
     @property
     def cell_count(self) -> int:
