@@ -259,8 +259,9 @@ def run_sweep(
 
     # Reuse layer 1: one transform, one vertical scan, shared by every
     # cell.  item_timestamps() is threshold-independent and cached on
-    # the immutable database, so warming it here means no mined cell
-    # pays for it again.
+    # the immutable database, so warming it here (and the row tuple a
+    # database loaded in bulk derives it from) means no mined cell, and
+    # no worker forked for the cell fan-out, pays for it again.
     transform_collector = SpanCollector(track_memory=obs.track_memory)
     with transform_collector, span("transform"):
         database = _as_database(data)

@@ -18,9 +18,13 @@ intersection is array intersection and interval extraction is one
 ``np.diff`` sweep over a gather (see ``docs/performance.md``,
 "Columnar kernel").
 
-The view is built from the cached
-:meth:`~repro.timeseries.database.TransactionalDatabase.item_timestamps`
-scan and is itself cached on the database
+A database read from an integer-timestamped transaction file is born
+with this view: :func:`~repro.timeseries.io.load_transactional_database`
+parses the file straight into these arrays and builds the row tuple
+only if something asks for it.  Any other database builds the view on
+first use (:meth:`ColumnarTDB.from_database`, from
+:meth:`~repro.timeseries.database.TransactionalDatabase.item_timestamps`).
+Either way the view is cached on the database
 (:meth:`~repro.timeseries.database.TransactionalDatabase.columnar`), so
 repeated mines and sweep columns share one materialisation.
 """
@@ -37,6 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.timeseries.database import TransactionalDatabase
 
 __all__ = ["ColumnarTDB"]
+
+
+def index_dtype(n_transactions: int) -> type:
+    """The dtype of transaction ids: ``int32`` unless they need more."""
+    return np.int32 if n_transactions < 2 ** 31 else np.int64
 
 
 class ColumnarTDB(NamedTuple):
@@ -78,17 +87,17 @@ class ColumnarTDB(NamedTuple):
         )
         index = database.item_timestamps()
         items = tuple(sorted(index, key=repr))
-        index_dtype = np.int32 if timestamps.size < 2 ** 31 else np.int64
+        ids = index_dtype(timestamps.size)
         indptr = np.zeros(len(items) + 1, dtype=np.int64)
         rows = []
         for position, item in enumerate(items):
             row = np.searchsorted(timestamps, np.asarray(index[item]))
-            rows.append(row.astype(index_dtype, copy=False))
+            rows.append(row.astype(ids, copy=False))
             indptr[position + 1] = indptr[position] + row.size
         if rows:
             indices = np.concatenate(rows)
         else:
-            indices = np.zeros(0, dtype=index_dtype)
+            indices = np.zeros(0, dtype=ids)
         return cls(timestamps, items, indptr, indices)
 
     @property

@@ -29,9 +29,16 @@ from repro.exceptions import DataFormatError, EmptyDatabaseError
 from repro.timeseries.events import Event, EventSequence, Item
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import numpy as np
+
     from repro.timeseries.columnar import ColumnarTDB
 
 __all__ = ["Transaction", "TransactionalDatabase"]
+
+#: Parsed file lines of a database born columnar: per line its
+#: transaction id, the ``codes`` offsets of its items (one more than
+#: lines), the item codes in file order, and the items by code.
+_Lines = Tuple["np.ndarray", "np.ndarray", "np.ndarray", Tuple[Item, ...]]
 
 
 class Transaction(NamedTuple):
@@ -73,61 +80,67 @@ class TransactionalDatabase:
     ['a', 'b', 'g']
     """
 
-    __slots__ = ("_transactions", "_item_index", "_columnar", "_digest")
+    __slots__ = (
+        "_transactions", "_lines", "_item_index", "_columnar", "_digest"
+    )
 
     def __init__(self, transactions: Iterable[Tuple[float, Iterable[Item]]] = ()):
-        merged: Dict[float, set] = {}
-        for raw in transactions:
-            try:
-                ts, items = raw
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(
-                    f"transaction must be a (ts, items) pair, got {raw!r}"
-                ) from exc
-            if isinstance(ts, bool) or not isinstance(ts, (int, float)):
-                raise DataFormatError(
-                    f"transaction timestamp must be a number, got {ts!r}"
-                )
-            if not math.isfinite(ts):
-                raise DataFormatError(
-                    f"transaction timestamp must be finite, got {ts!r}"
-                )
-            itemset = set(items)
-            if not itemset:
-                continue
-            merged.setdefault(ts, set()).update(itemset)
-        self._transactions: Tuple[Transaction, ...] = tuple(
-            Transaction(ts, frozenset(merged[ts])) for ts in sorted(merged)
+        self._transactions: Optional[Tuple[Transaction, ...]] = _canonical(
+            transactions
         )
+        self._lines: Optional[_Lines] = None
         self._item_index: Optional[Dict[Item, Tuple[float, ...]]] = None
-        self._columnar = None
+        self._columnar: Optional["ColumnarTDB"] = None
         self._digest: Optional[str] = None
+
+    @classmethod
+    def _from_columnar(
+        cls, column: "ColumnarTDB", lines: _Lines
+    ) -> "TransactionalDatabase":
+        """A database born columnar (the bulk file loader's result).
+
+        ``column`` is the finished columnar view and ``lines`` the
+        parsed file (see ``_Lines``).  The row tuple is derived from
+        ``lines`` on first use, through the same merge as the
+        constructor, so every frozenset (and hence
+        :meth:`item_timestamps` order) is the one the row parser would
+        have produced.
+        """
+        database = cls.__new__(cls)
+        database._transactions = None
+        database._lines = lines
+        database._item_index = None
+        database._columnar = column
+        database._digest = None
+        return database
 
     # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
+        if self._transactions is None:
+            return self._columnar.n_transactions
         return len(self._transactions)
 
     def __iter__(self) -> Iterator[Transaction]:
-        return iter(self._transactions)
+        return iter(self.transactions)
 
     def __getitem__(self, index: int) -> Transaction:
-        return self._transactions[index]
+        return self.transactions[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransactionalDatabase):
             return NotImplemented
-        return self._transactions == other._transactions
+        return self.transactions == other.transactions
 
     def __hash__(self) -> int:
-        return hash(self._transactions)
+        return hash(self.transactions)
 
     def __repr__(self) -> str:
-        if not self._transactions:
+        if not len(self):
             return "TransactionalDatabase(empty)"
         return (
-            f"TransactionalDatabase({len(self._transactions)} transactions, "
+            f"TransactionalDatabase({len(self)} transactions, "
             f"{len(self.items())} items, span=[{self.start}, {self.end}])"
         )
 
@@ -136,20 +149,33 @@ class TransactionalDatabase:
     # ------------------------------------------------------------------
     @property
     def transactions(self) -> Tuple[Transaction, ...]:
-        """All transactions in timestamp order."""
+        """All transactions in timestamp order.
+
+        A database born columnar builds this tuple on first use (see
+        :meth:`_from_columnar`) and caches it.
+        """
+        if self._transactions is None:
+            tids, bounds, codes, by_code = self._lines
+            stamps = self._columnar.timestamps.tolist()
+            items = [by_code[code] for code in codes.tolist()]
+            bounds = bounds.tolist()
+            self._transactions = _canonical(
+                (stamps[tid], items[lo:hi])
+                for tid, lo, hi in zip(tids.tolist(), bounds, bounds[1:])
+            )
         return self._transactions
 
     @property
     def start(self) -> float:
         """Timestamp of the first transaction."""
         self._require_non_empty()
-        return self._transactions[0].ts
+        return self.transactions[0].ts
 
     @property
     def end(self) -> float:
         """Timestamp of the last transaction."""
         self._require_non_empty()
-        return self._transactions[-1].ts
+        return self.transactions[-1].ts
 
     @property
     def span(self) -> float:
@@ -171,7 +197,7 @@ class TransactionalDatabase:
         """
         if self._item_index is None:
             index: Dict[Item, List[float]] = {}
-            for ts, itemset in self._transactions:
+            for ts, itemset in self.transactions:
                 for item in itemset:
                     index.setdefault(item, []).append(ts)
             self._item_index = {
@@ -182,10 +208,13 @@ class TransactionalDatabase:
     def columnar(self) -> "ColumnarTDB":
         """Array-backed vertical view (see :mod:`repro.timeseries.columnar`).
 
-        Built from the cached :meth:`item_timestamps` scan on first use
-        and cached alongside it; the database is immutable so neither
-        cache ever goes stale.  Repeated mines and sweep columns over
-        the same database therefore share one materialisation.
+        A database that
+        :func:`~repro.timeseries.io.load_transactional_database` read
+        from an integer-timestamped file holds it from birth; any other
+        database builds it from :meth:`item_timestamps` on first use.
+        Either way it is cached — the database is immutable, so the
+        cache never goes stale — and repeated mines and sweep columns
+        over the same database share one materialisation.
         """
         if self._columnar is None:
             from repro.timeseries.columnar import ColumnarTDB
@@ -206,8 +235,12 @@ class TransactionalDatabase:
         empties) and the encoding is injective on that canonical form.
 
         Built on first use and cached like :meth:`columnar`; the
-        database is immutable so the cache never goes stale.  This is
-        the ``dataset_digest`` of the service result cache and of
+        database is immutable so the cache never goes stale.  A database
+        born columnar hashes straight from the columnar arrays, without
+        building its rows: transposing the item-major index lists each
+        transaction's items by rank, and items are ranked by ``repr``,
+        so that is the sorted order of their reprs.  This is the
+        ``dataset_digest`` of the service result cache and of
         ``repro-run/v1`` records.
 
         Examples
@@ -222,19 +255,16 @@ class TransactionalDatabase:
         if self._digest is None:
             import hashlib
 
-            hasher = hashlib.sha256()
-            for ts, itemset in self._transactions:
-                # int-valued floats print the way the TSV writer prints
-                # them, so 3 and 3.0 (equal timestamps) hash equally.
-                if isinstance(ts, float) and ts.is_integer():
-                    ts_text = str(int(ts))
-                else:
-                    ts_text = repr(ts)
-                line = ts_text + "\t" + " ".join(
-                    sorted(repr(item) for item in itemset)
+            if self._transactions is None:
+                lines = _columnar_lines(self._columnar)
+            else:
+                lines = (
+                    _ts_text(ts) + "\t" + " ".join(sorted(map(repr, itemset)))
+                    for ts, itemset in self._transactions
                 )
-                hasher.update(line.encode("utf-8"))
-                hasher.update(b"\n")
+            hasher = hashlib.sha256()
+            for line in lines:
+                hasher.update((line + "\n").encode("utf-8"))
             self._digest = hasher.hexdigest()
         return self._digest
 
@@ -270,17 +300,17 @@ class TransactionalDatabase:
         """Database with every transaction projected onto ``keep``."""
         keep_set = set(keep)
         return TransactionalDatabase(
-            (ts, itemset & keep_set) for ts, itemset in self._transactions
+            (ts, itemset & keep_set) for ts, itemset in self.transactions
         )
 
     def window(self, start: float, end: float) -> "TransactionalDatabase":
         """Transactions with ``start <= ts <= end``."""
         if end < start:
             raise ValueError(f"window end {end} precedes start {start}")
-        ts_values = [ts for ts, _ in self._transactions]
+        ts_values = [ts for ts, _ in self.transactions]
         lo = bisect.bisect_left(ts_values, start)
         hi = bisect.bisect_right(ts_values, end)
-        return TransactionalDatabase(self._transactions[lo:hi])
+        return TransactionalDatabase(self.transactions[lo:hi])
 
     # ------------------------------------------------------------------
     # Conversions
@@ -301,7 +331,7 @@ class TransactionalDatabase:
         so the output is deterministic.
         """
         pairs: List[Tuple[Item, float]] = []
-        for ts, itemset in self._transactions:
+        for ts, itemset in self.transactions:
             for item in sorted(itemset, key=repr):
                 pairs.append((item, ts))
         return EventSequence(pairs)
@@ -310,5 +340,60 @@ class TransactionalDatabase:
     # Internal helpers
     # ------------------------------------------------------------------
     def _require_non_empty(self) -> None:
-        if not self._transactions:
+        if not len(self):
             raise EmptyDatabaseError("the database has no transactions")
+
+
+def _canonical(
+    transactions: Iterable[Tuple[float, Iterable[Item]]]
+) -> Tuple[Transaction, ...]:
+    """Validate, merge and order ``(ts, items)`` rows (see the class)."""
+    merged: Dict[float, set] = {}
+    for raw in transactions:
+        try:
+            ts, items = raw
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(
+                f"transaction must be a (ts, items) pair, got {raw!r}"
+            ) from exc
+        if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+            raise DataFormatError(
+                f"transaction timestamp must be a number, got {ts!r}"
+            )
+        if not math.isfinite(ts):
+            raise DataFormatError(
+                f"transaction timestamp must be finite, got {ts!r}"
+            )
+        itemset = set(items)
+        if not itemset:
+            continue
+        merged.setdefault(ts, set()).update(itemset)
+    return tuple(
+        Transaction(ts, frozenset(merged[ts])) for ts in sorted(merged)
+    )
+
+
+def _ts_text(ts: float) -> str:
+    # int-valued floats print the way the TSV writer prints them, so 3
+    # and 3.0 (equal timestamps) hash equally.
+    if isinstance(ts, float) and ts.is_integer():
+        return str(int(ts))
+    return repr(ts)
+
+
+def _columnar_lines(column: "ColumnarTDB") -> Iterator[str]:
+    """The digest lines of an integer-timestamped columnar view."""
+    import numpy as np
+
+    words = [repr(item) for item in column.items]
+    entry_item = np.repeat(np.arange(len(words)), np.diff(column.indptr))
+    by_row = np.argsort(column.indices, kind="stable")
+    row_words = [words[item] for item in entry_item[by_row].tolist()]
+    bounds = np.zeros(column.n_transactions + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(column.indices, minlength=column.n_transactions),
+        out=bounds[1:],
+    )
+    bounds = bounds.tolist()
+    for ts, lo, hi in zip(column.timestamps.tolist(), bounds, bounds[1:]):
+        yield f"{ts}\t{' '.join(row_words[lo:hi])}"

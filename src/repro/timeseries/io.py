@@ -10,6 +10,21 @@ Timestamps are parsed as ``int`` when possible, otherwise ``float``.
 Blank lines and lines starting with ``#`` are ignored.  Malformed lines
 raise :class:`~repro.exceptions.DataFormatError` with the line number.
 
+:func:`load_transactional_database` reads a transaction file by path
+in a few bulk passes straight into the columnar arrays
+(:class:`~repro.timeseries.columnar.ColumnarTDB`) of the vertical
+engine: the text is split on ``"\\n"`` only, each line on its tab and
+its items column on whitespace; items get codes through one dict and
+ranks by ``repr``; a sort of the line timestamps merges duplicate
+timestamps and one integer sort of ``(item, transaction)`` keys merges
+duplicate items.  The database answers ``len()``, ``columnar()`` and
+``digest()`` from those arrays and builds its row tuple and item index
+on first use, exactly as the row parser would have.  The bulk path
+takes only files whose timestamps all parse as ``int`` with magnitude
+below ``2**62``.  Any other source — float or huge timestamps, any
+malformed or undecodable line, an open handle — goes through the row
+parser, which stays the one source of line-numbered errors.
+
 Besides the eager loaders, the transaction format has a *streaming*
 surface for out-of-core work (:mod:`repro.shard`):
 
@@ -27,7 +42,7 @@ from __future__ import annotations
 
 import mmap as _mmap
 import os
-from typing import IO, Iterator, List, Tuple, Union
+from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.exceptions import DataFormatError
 from repro.timeseries.database import TransactionalDatabase
@@ -77,7 +92,17 @@ def save_event_sequence(events: EventSequence, target: PathOrFile) -> None:
 
 
 def load_transactional_database(source: PathOrFile) -> TransactionalDatabase:
-    """Read a transactional database from ``source``."""
+    """Read a transactional database from ``source``.
+
+    A path whose timestamps are all ``int`` with magnitude below
+    ``2**62`` is parsed in bulk straight into the columnar arrays (see
+    the module docstring); any other source takes the row parser.  The
+    result is the same database either way.
+    """
+    if not hasattr(source, "read"):
+        database = _load_columnar(source)
+        if database is not None:
+            return database
     rows: List[Tuple[float, List[str]]] = []
     for line_no, line in _lines(source):
         rows.append(_parse_transaction_line(line_no, line))
@@ -284,6 +309,89 @@ def _iter_mmap(path: Union[str, "os.PathLike[str]"]) -> Iterator[Tuple[int, str]
                 if not line.strip() or line.lstrip().startswith("#"):
                     continue
                 yield line_no, line
+
+
+def _load_columnar(
+    path: Union[str, "os.PathLike[str]"]
+) -> Optional[TransactionalDatabase]:
+    """Bulk-parse a transaction file into a database born columnar.
+
+    Returns ``None`` — the caller then runs the row parser, the one
+    source of line-numbered errors — unless every non-blank,
+    non-comment line is ``<int><TAB><items>`` with ``|int| < 2**62``.  A
+    line is classified only when it fails to parse: a line that parses
+    is not blank (its items column is not) and not a comment (``int()``
+    refuses a leading ``#``).
+    """
+    import numpy as np
+
+    from repro.core.accel import INT64_SAFE_BOUND
+    from repro.timeseries.columnar import ColumnarTDB, index_dtype
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        return None
+    stamps: List[int] = []
+    counts: List[int] = []
+    words: List[str] = []
+    # Split on "\n" only: file iteration does not end lines at \x0b,
+    # \x1c or \u2028 either (str.splitlines() would).
+    for line in text.split("\n"):
+        parts = line.split("\t")
+        if len(parts) == 2:
+            items = parts[1].split()
+            if items:
+                try:
+                    stamps.append(int(parts[0].strip()))
+                except ValueError:
+                    pass
+                else:
+                    counts.append(len(items))
+                    words += items
+                    continue
+        if line.strip() and not line.lstrip().startswith("#"):
+            return None
+    if not stamps:
+        return TransactionalDatabase()
+    if max(stamps) >= INT64_SAFE_BOUND or min(stamps) <= -INT64_SAFE_BOUND:
+        return None
+
+    # Items get codes in order of first appearance, then ranks by repr.
+    by_code = tuple(dict.fromkeys(words))
+    code_of = dict(zip(by_code, range(len(by_code))))
+    codes = np.fromiter(
+        map(code_of.__getitem__, words), dtype=np.int64, count=len(words)
+    )
+    reprs = [repr(item) for item in by_code]
+    order = sorted(range(len(by_code)), key=reprs.__getitem__)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+
+    # One sort merges duplicate timestamps (lines -> transaction ids),
+    # one more merges duplicate (item, transaction) pairs and leaves
+    # them item-major: the CSR index of the columnar view.
+    timestamps, tids = np.unique(
+        np.array(stamps, dtype=np.int64), return_inverse=True
+    )
+    n_rows = timestamps.size
+    keys = np.sort(rank[codes] * n_rows + np.repeat(tids, counts))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    entry_item, entry_row = np.divmod(keys, n_rows)
+    indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_item, minlength=len(order)), out=indptr[1:])
+    column = ColumnarTDB(
+        timestamps,
+        tuple(by_code[code] for code in order),
+        indptr,
+        entry_row.astype(index_dtype(n_rows)),
+    )
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return TransactionalDatabase._from_columnar(
+        column, (tids, bounds, codes, by_code)
+    )
 
 
 def _parse_transaction_line(

@@ -19,6 +19,11 @@ from repro.core.request import DatasetRef, MiningRequest
 from repro.obs.report import iter_trace, validate_run_record
 from repro.patterns_io import load_patterns, save_patterns
 from repro.service import MiningService, ServiceClient, ServiceError
+from repro.timeseries.database import TransactionalDatabase
+from repro.timeseries.io import (
+    save_transactional_database,
+    stream_transaction_rows,
+)
 
 
 @contextlib.contextmanager
@@ -188,6 +193,44 @@ def test_eviction_surfaces_in_metrics(example_ref):
         assert (
             "repro_service_cache_evictions_total 1" in client.metrics()
         )
+
+
+def test_cache_hit_on_a_file_never_builds_rows(
+    tmp_path, running_example, monkeypatch
+):
+    path = tmp_path / "example.tsv"
+    save_transactional_database(running_example, path)
+    loaded = []
+    load = DatasetRef.load
+
+    def recording_load(ref):
+        database = load(ref)
+        loaded.append(database)
+        return database
+
+    monkeypatch.setattr(DatasetRef, "load", recording_load)
+    with running_service() as service:
+        client = ServiceClient(port=service.port)
+        request = MiningRequest(
+            per=2, min_ps=3, min_rec=1, source=DatasetRef.file(str(path))
+        )
+        first = client.submit(request)
+        client.wait(first, timeout=60)
+        second = client.submit(request)
+        client.wait(second, timeout=60)
+        assert client.result(second)["cache"] == "hit"
+        assert (
+            client.result(second)["patterns_tsv"]
+            == client.result(first)["patterns_tsv"]
+        )
+    hit = loaded[1]
+    # load() + digest() served the hit from the columnar arrays alone.
+    assert hit._transactions is None
+    # The row path's digest: existing cache keys are unchanged.
+    assert hit.digest() == running_example.digest()
+    assert hit.digest() == TransactionalDatabase(
+        stream_transaction_rows(path)
+    ).digest()
 
 
 def test_failed_job_surfaces_its_error(tmp_path):
